@@ -1,34 +1,38 @@
 #!/usr/bin/env python3
 """Where do the cycles go? HMC latency telemetry under PAC.
 
-Enables per-packet telemetry on the HMC device and runs GS with and
-without coalescing, then prints the latency component breakdown (link
+Runs GS with and without coalescing on the scalar HMC device with
+per-packet telemetry on, then prints the latency component breakdown (link
 wait, crossbar route, vault queueing, DRAM, response) and the vault heat
 map. Shows *mechanistically* where PAC's latency savings come from:
 shorter vault queues and fewer conflicted DRAM activations.
 
-Run:  python examples/latency_breakdown.py
+Run:  python examples/latency_breakdown.py [n_accesses]
 """
+
+import sys
 
 from repro.config import TABLE1
 from repro.engine.system import CoalescerKind, System
+from repro.hmc.device import HMCDevice
 from repro.hmc.telemetry import Telemetry
 
-N_ACCESSES = 30_000
 
-
-def run(kind):
+def run(kind, n_accesses):
     system = System(TABLE1, kind)
-    system.device.telemetry = Telemetry()
-    trace = system.build_trace(["gs"], N_ACCESSES)
+    # Only the scalar device records per-packet telemetry; the batched
+    # device an unobserved System builds defers all its accounting.
+    device = HMCDevice(TABLE1.hmc, telemetry=Telemetry())
+    trace = system.build_trace(["gs"], n_accesses)
     raw = system.hierarchy.process(trace)
-    system.coalescer.process(raw.requests, system.device)
-    return system.device.telemetry
+    system.coalescer.process(raw.requests, device)
+    return device.telemetry
 
 
 def main() -> None:
-    base = run(CoalescerKind.NONE)
-    pac = run(CoalescerKind.PAC)
+    n_accesses = int(sys.argv[1]) if len(sys.argv) > 1 else 30_000
+    base = run(CoalescerKind.NONE, n_accesses)
+    pac = run(CoalescerKind.PAC, n_accesses)
 
     print("HMC latency breakdown on GS (cycles per packet)\n")
     print(f"{'component':12s} {'no coalescing':>14s} {'PAC':>10s}")

@@ -99,16 +99,8 @@ def build_suite_trace(
     extra_benchmarks: Sequence[str] = (),
     device: str = "hmc",
     fine_grain: bool = False,
-    engine: str = "auto",
 ) -> AccessTrace:
-    """Generate the translated trace for one suite entry (uncached).
-
-    ``engine`` selects the front-end execution path (see
-    :class:`repro.engine.system.System`): ``"reference"`` runs the
-    scalar generators and hierarchy, the default ``"auto"`` takes the
-    batched front-end. Both produce the identical trace, so artifact
-    keys deliberately ignore the knob.
-    """
+    """Generate the translated trace for one suite entry (uncached)."""
     from repro.engine.system import CoalescerKind, System
 
     system = System(
@@ -116,7 +108,6 @@ def build_suite_trace(
         coalescer=CoalescerKind.NONE,
         device=device,
         fine_grain=fine_grain,
-        engine=System.arm_engine(CoalescerKind.NONE, engine),
     )
     names = [benchmark, *extra_benchmarks]
     return system.build_trace(
@@ -134,15 +125,9 @@ def compute_trace_pass(
     extra_benchmarks: Sequence[str] = (),
     fine_grain: bool = False,
     trace: Optional[AccessTrace] = None,
-    engine: str = "auto",
 ) -> TracePass:
     """Run trace generation + the cache pass for one benchmark (no cache
-    lookups; pass ``trace`` to skip regeneration).
-
-    ``engine`` picks the front-end execution path; the resulting pass is
-    bit-identical either way (the batched hierarchy's contract), so the
-    artifact keys the callers derive do not include it.
-    """
+    lookups; pass ``trace`` to skip regeneration)."""
     from repro.engine.system import CoalescerKind, System
 
     system = System(
@@ -150,7 +135,6 @@ def compute_trace_pass(
         coalescer=CoalescerKind.NONE,
         device=device,
         fine_grain=fine_grain,
-        engine=System.arm_engine(CoalescerKind.NONE, engine),
     )
     names = [benchmark, *extra_benchmarks]
     if trace is None:
@@ -229,15 +213,12 @@ def load_or_compute_trace_pass(
     fine_grain: bool = False,
     use_cache: bool = True,
     store: Optional[ArtifactStore] = None,
-    engine: str = "auto",
 ) -> TracePass:
     """Cache-aware trace-pass front door.
 
     Lookup order: pass artifact (whole prefix skipped) → trace artifact
     (generation skipped, hierarchy re-run) → full compute. On a miss
-    with caching enabled, both artifacts are written back. ``engine``
-    selects the front-end path on compute; cached artifacts are
-    engine-invariant (bit-identity), so hits ignore it.
+    with caching enabled, both artifacts are written back.
     """
     seed = _resolve(config, seed)
     extras = tuple(extra_benchmarks)
@@ -246,7 +227,6 @@ def load_or_compute_trace_pass(
         return compute_trace_pass(
             benchmark, n_accesses, config=config, seed=seed, device=device,
             scale=scale, extra_benchmarks=extras, fine_grain=fine_grain,
-            engine=engine,
         )
     store = store if store is not None else get_store()
     hit = try_load_trace_pass(
@@ -282,12 +262,11 @@ def load_or_compute_trace_pass(
         trace = build_suite_trace(
             benchmark, n_accesses, config=config, seed=seed, scale=scale,
             extra_benchmarks=extras, device=device, fine_grain=fine_grain,
-            engine=engine,
         )
     tp = compute_trace_pass(
         benchmark, n_accesses, config=config, seed=seed, device=device,
         scale=scale, extra_benchmarks=extras, fine_grain=fine_grain,
-        trace=trace, engine=engine,
+        trace=trace,
     )
     tp.key = pkey
     if tp._requests is not None:

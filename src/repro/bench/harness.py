@@ -16,15 +16,13 @@ Methodology (pyperf-style):
   ``Coalescer.process``, i.e. stage 1 + network + MAQ + MSHRs);
 * per-stage isolation benchmarks re-run a single stage over a
   pre-computed input so stage costs can be compared without upstream
-  noise; the coalescer stage is measured once per execution engine
-  (``coalescer`` = the batched kernel, ``coalescer_reference`` = the
-  per-request object pipeline), and the two front-end stages likewise
-  (``trace_gen``/``cache`` on the batched front-end,
-  ``trace_gen_reference``/``cache_reference`` on the scalar reference),
-  and the device stage completes the set (``device`` = the batched
-  back-end's ``submit_window`` replay, ``device_reference`` = the
-  scalar per-packet ``submit`` loop), so all three engine speedups are
-  first-class harness outputs;
+  noise. Every stage is measured on two legs (:func:`stage_legs`): the
+  batched component an unobserved run uses (``coalescer``, ``cache``,
+  ...) and the scalar reference it must stay bit-identical to
+  (``coalescer_reference``, ...). The device legs drive the per-packet
+  ``submit`` loop that coalescers drive, followed by ``sync``. So the
+  coalescer, front-end and device speedups are first-class harness
+  outputs;
 * peak RSS comes from ``resource.getrusage`` (kilobytes on Linux).
 
 **Best vs median.** Every :class:`Timing` retains all samples, and
@@ -47,13 +45,22 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.cache.batched import BatchedCacheHierarchy
+from repro.cache.hierarchy import CacheHierarchy
 from repro.config import TABLE1
+from repro.core.pac import PagedAdaptiveCoalescer
+from repro.core.protocols import HMC2
 from repro.engine.driver import run_comparison
 from repro.engine.system import CoalescerKind, System
+from repro.hmc.batched import BatchedHMCDevice
+from repro.hmc.device import HMCDevice
 from repro.telemetry import events as ev
+from repro.workloads.base import reference_trace_gen
 
 #: Coalescer arms the suite-scale measurement fans out.
 SUITE_ARMS = (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC)
@@ -140,13 +147,10 @@ class PhaseTimes:
 class StageTimes:
     """Single-stage isolation timings for one benchmark.
 
-    The coalescer stage appears once per execution engine:
-    ``coalescer`` is the batched kernel (what ``engine='auto'`` runs on
-    a clean PAC configuration) and ``coalescer_reference`` the
-    per-request object pipeline it must stay bit-identical to. The
-    front-end (``trace_gen``/``cache``) and back-end (``device``)
-    stages follow the same convention with their own ``_reference``
-    legs.
+    Each stage appears twice: under its own name for the batched
+    component an unobserved run uses (``coalescer`` is the batched PAC
+    kernel) and with a ``_reference`` suffix for the scalar component
+    it must stay bit-identical to.
     """
 
     timings: Dict[str, Timing] = field(default_factory=dict)
@@ -570,139 +574,112 @@ def _measure_phases(bench: str, cfg: BenchConfig) -> PhaseTimes:
     return phases
 
 
-def _interleaved_engine_pair(
-    once: Callable[[str], float], items: int, repeats: int, warmup: int,
-) -> tuple:
-    """Min-of-N over a fast/reference engine pair, repeats interleaved
-    so machine-load drift hits both paths symmetrically instead of
-    biasing whichever ran second. Returns ``(fast, reference)``."""
-    for _ in range(warmup):
-        once("auto")
-        once("reference")
-    fast_samples: List[float] = []
-    ref_samples: List[float] = []
-    for _ in range(repeats):
-        fast_samples.append(once("auto"))
-        ref_samples.append(once("reference"))
-    return (
-        Timing(seconds=min(fast_samples), samples=fast_samples, items=items),
-        Timing(seconds=min(ref_samples), samples=ref_samples, items=items),
-    )
+def _trace_gen_leg(bench: str, cfg: BenchConfig, reference: bool):
+    system = System(config=TABLE1, coalescer=CoalescerKind.NONE)
+
+    def run():
+        with reference_trace_gen() if reference else nullcontext():
+            return system.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
+
+    return run
+
+
+def _cache_leg(trace, reference: bool):
+    cls = CacheHierarchy if reference else BatchedCacheHierarchy
+    hierarchy = cls(TABLE1.cache, n_cores=TABLE1.n_cores)
+    return lambda: hierarchy.process(trace)
+
+
+def _coalescer_leg(requests, reference: bool):
+    # Device submit time is left in: the reference leg drives the
+    # scalar device, as the reference pipeline does.
+    if reference:
+        coalescer = PagedAdaptiveCoalescer(TABLE1.pac, protocol=HMC2)
+        device = HMCDevice(TABLE1.hmc)
+    else:
+        system = System(config=TABLE1, coalescer=CoalescerKind.PAC)
+        coalescer, device = system.coalescer, system.device
+    return lambda: coalescer.process(requests, device)
+
+
+def _device_leg(issued, reference: bool):
+    # The per-packet ``submit`` loop a coalescer drives, then the
+    # ``sync`` that System.run_raw calls (a no-op on the scalar device).
+    device = (HMCDevice if reference else BatchedHMCDevice)(TABLE1.hmc)
+
+    def run():
+        submit = device.submit
+        for packet in issued:
+            submit(packet, packet.issue_cycle)
+        device.sync()
+
+    return run
+
+
+def stage_legs(bench: str, cfg: BenchConfig) -> Dict[str, tuple]:
+    """Every isolated stage leg of one benchmark: each stage of
+    :data:`PHASES` under its own name (the batched leg) and with a
+    ``_reference`` suffix (the scalar leg).
+
+    Maps a leg name to ``(make, items)``: ``make()`` builds fresh state
+    for one iteration (never timed) and returns the callable that runs
+    the stage once over its precomputed input. The batched legs run the
+    components an unobserved ``System`` uses; the reference legs build
+    the scalar components directly and run the scalar trace generators.
+    """
+    trace = System(
+        config=TABLE1, coalescer=CoalescerKind.NONE
+    ).build_trace([bench], cfg.n_accesses, seed=cfg.seed)
+    requests = _cache_leg(trace, reference=False)().requests
+    issuer = System(config=TABLE1, coalescer=CoalescerKind.PAC)
+    issued = issuer.coalescer.process(requests, issuer.device).issued
+    legs: Dict[str, tuple] = {}
+    for suffix, ref in (("", False), ("_reference", True)):
+        legs["trace_gen" + suffix] = (
+            partial(_trace_gen_leg, bench, cfg, ref), cfg.n_accesses
+        )
+        legs["cache" + suffix] = (
+            partial(_cache_leg, trace, ref), len(requests)
+        )
+        legs["coalescer" + suffix] = (
+            partial(_coalescer_leg, requests, ref), len(requests)
+        )
+        legs["device" + suffix] = (
+            partial(_device_leg, issued, ref), len(issued)
+        )
+    return legs
 
 
 def _measure_stages(bench: str, cfg: BenchConfig) -> StageTimes:
-    """Isolation benchmarks: each stage re-runs alone over fixed input.
+    """Isolation benchmarks: each stage re-runs alone over fixed input,
+    once on its batched leg and once on its scalar reference leg.
 
-    The two front-end stages are measured once per engine —
-    ``trace_gen``/``cache`` on the default (batched) front-end,
-    ``trace_gen_reference``/``cache_reference`` on the scalar
-    generators and hierarchy they must stay bit-identical to — so the
-    front-end engine speedup is a first-class harness output alongside
-    the coalescer's.
+    The two legs' repeats are interleaved so a machine-load drift hits
+    both paths symmetrically instead of biasing whichever ran second.
     """
     out = StageTimes()
+    legs = stage_legs(bench, cfg)
 
-    def trace_gen_once(engine: str) -> float:
-        system = System(
-            config=TABLE1, coalescer=CoalescerKind.NONE, engine=engine
-        )
+    def once(name: str) -> float:
+        run = legs[name][0]()
         t0 = time.perf_counter()
-        system.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
+        run()
         return time.perf_counter() - t0
 
-    out.timings["trace_gen"], out.timings["trace_gen_reference"] = (
-        _interleaved_engine_pair(
-            trace_gen_once, cfg.n_accesses, cfg.repeats, cfg.warmup
-        )
-    )
-
-    base = System(config=TABLE1, coalescer=CoalescerKind.PAC)
-    trace = base.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
-    n_raw_items = len(base.hierarchy.process(trace).requests)
-
-    def cache_once(engine: str) -> float:
-        # The hierarchy is built outside the timed region — this
-        # measures the cache pass, not per-core L1 construction.
-        system = System(
-            config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-        )
-        hierarchy = system.hierarchy
-        t0 = time.perf_counter()
-        hierarchy.process(trace)
-        return time.perf_counter() - t0
-
-    out.timings["cache"], out.timings["cache_reference"] = (
-        _interleaved_engine_pair(
-            cache_once, n_raw_items, cfg.repeats, cfg.warmup
-        )
-    )
-
-    raw = System(
-        config=TABLE1, coalescer=CoalescerKind.PAC
-    ).hierarchy.process(trace)
-
-    def coalescer_once(engine: str) -> float:
-        # Fresh coalescer + device each iteration (they hold state),
-        # constructed OUTSIDE the timed region — this measures the
-        # stage, not object setup. Device submit time is left in: both
-        # engines pay it identically, so the ratio is conservative.
-        system = System(
-            config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-        )
-        process = system.coalescer.process
-        device = system.device
-        requests = raw.requests
-        t0 = time.perf_counter()
-        process(requests, device)
-        return time.perf_counter() - t0
-
-    # Interleave the two engines' repeats so a machine-load drift hits
-    # both paths symmetrically instead of biasing whichever ran second.
-    for _ in range(cfg.warmup):
-        coalescer_once("batched")
-        coalescer_once("reference")
-    bat_samples: List[float] = []
-    ref_samples: List[float] = []
-    for _ in range(cfg.repeats):
-        bat_samples.append(coalescer_once("batched"))
-        ref_samples.append(coalescer_once("reference"))
-    n_items = len(raw.requests)
-    out.timings["coalescer"] = Timing(
-        seconds=min(bat_samples), samples=bat_samples, items=n_items
-    )
-    out.timings["coalescer_reference"] = Timing(
-        seconds=min(ref_samples), samples=ref_samples, items=n_items
-    )
-
-    setup = System(config=TABLE1, coalescer=CoalescerKind.PAC)
-    issued = setup.coalescer.process(raw.requests, setup.device).issued
-
-    def device_once(engine: str) -> float:
-        # Replay the PAC arm's issued packets straight into a fresh
-        # device — pure memory-model cost, once per back-end engine:
-        # the batched leg drives the window-at-a-time surface
-        # (``submit_window``), the reference leg the per-packet
-        # ``submit`` loop it must stay bit-identical to. Setup (the
-        # issuing run, device construction) stays outside the timer.
-        replay_system = System(
-            config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-        )
-        dev = replay_system.device
-        if engine == "reference":
-            submit = dev.submit
-            t0 = time.perf_counter()
-            for packet in issued:
-                submit(packet, packet.issue_cycle)
-            return time.perf_counter() - t0
-        t0 = time.perf_counter()
-        dev.submit_window(issued)
-        return time.perf_counter() - t0
-
-    out.timings["device"], out.timings["device_reference"] = (
-        _interleaved_engine_pair(
-            device_once, len(issued), cfg.repeats, cfg.warmup
-        )
-    )
+    for stage in PHASES:
+        pair = (stage, stage + "_reference")
+        for _ in range(cfg.warmup):
+            for name in pair:
+                once(name)
+        samples: Dict[str, List[float]] = {name: [] for name in pair}
+        for _ in range(cfg.repeats):
+            for name in pair:
+                samples[name].append(once(name))
+        for name in pair:
+            out.timings[name] = Timing(
+                seconds=min(samples[name]), samples=samples[name],
+                items=legs[name][1],
+            )
     return out
 
 

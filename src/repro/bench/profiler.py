@@ -1,11 +1,10 @@
 """Per-stage cProfile hotspot capture for ``repro bench --profile``.
 
 Where the harness (:mod:`repro.bench.harness`) answers *how fast*, this
-module answers *where the time goes*: each pipeline stage — both
-front-end engines of trace_gen and cache, both coalescer engines,
-both device engines — runs once under :mod:`cProfile`, and the top
-functions by
-**cumulative time** are extracted per stage. Profiling adds interpreter overhead, so these
+module answers *where the time goes*: each stage leg the harness times
+(batched and reference trace_gen, cache, coalescer and device) runs
+once under :mod:`cProfile`, and the top functions by **cumulative
+time** are extracted per stage. Profiling adds interpreter overhead, so these
 numbers are for ranking hotspots, never for speedup claims; the
 harness's unprofiled timings remain the only quotable seconds.
 
@@ -24,20 +23,15 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.config import TABLE1
-from repro.engine.system import CoalescerKind, System
-
-from repro.bench.harness import BenchConfig
+from repro.bench.harness import BenchConfig, stage_legs
 
 #: Functions reported per stage, ranked by cumulative time.
 TOP_N = 20
 
-#: Stage order in reports (insertion order of ``profile_benchmark``).
-#: The front-end appears once per engine, like the coalescer: the
-#: unsuffixed stages run the batched front-end (vectorized generators,
-#: array-backed hierarchy), the ``_reference`` stages the scalar twins
-#: they are bit-identical to — so a hotspot list exists for both sides
-#: of each engine-speedup ratio the harness reports.
+#: Stage order in reports. Every stage appears twice, as in the harness:
+#: the unsuffixed leg runs the batched component, the ``_reference`` leg
+#: the scalar twin it is bit-identical to — so a hotspot list exists for
+#: both sides of each speedup ratio the harness reports.
 PROFILE_STAGES = (
     "trace_gen", "trace_gen_reference",
     "cache", "cache_reference",
@@ -145,70 +139,13 @@ def _profile_once(fn: Callable[[], object]) -> StageProfile:
 
 
 def profile_benchmark(bench: str, cfg: BenchConfig) -> Dict[str, StageProfile]:
-    """Profile every pipeline stage of one benchmark, in stage order."""
+    """Profile every stage leg of one benchmark (the harness's
+    :func:`~repro.bench.harness.stage_legs`), in stage order."""
+    legs = stage_legs(bench, cfg)
     out: Dict[str, StageProfile] = {}
-
-    def trace_gen_for(engine: str) -> Callable[[], object]:
-        def run():
-            system = System(
-                config=TABLE1, coalescer=CoalescerKind.NONE, engine=engine
-            )
-            return system.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
-        return run
-
-    out["trace_gen"] = _profile_once(trace_gen_for("auto"))
-    out["trace_gen_reference"] = _profile_once(trace_gen_for("reference"))
-
-    base = System(config=TABLE1, coalescer=CoalescerKind.PAC)
-    trace = base.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
-
-    def cache_for(engine: str) -> Callable[[], object]:
-        def run():
-            system = System(
-                config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-            )
-            return system.hierarchy.process(trace)
-        return run
-
-    out["cache"] = _profile_once(cache_for("auto"))
-    out["cache_reference"] = _profile_once(cache_for("reference"))
-
-    raw = System(
-        config=TABLE1, coalescer=CoalescerKind.PAC
-    ).hierarchy.process(trace)
-
-    def coalescer_for(engine: str) -> Callable[[], object]:
-        def run():
-            system = System(
-                config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-            )
-            return system.coalescer.process(raw.requests, system.device)
-        return run
-
-    out["coalescer"] = _profile_once(coalescer_for("batched"))
-    out["coalescer_reference"] = _profile_once(coalescer_for("reference"))
-
-    setup = System(config=TABLE1, coalescer=CoalescerKind.PAC)
-    issued = setup.coalescer.process(raw.requests, setup.device).issued
-
-    def device_for(engine: str) -> Callable[[], object]:
-        def run():
-            replay = System(
-                config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-            )
-            dev = replay.device
-            if engine == "reference":
-                for packet in issued:
-                    dev.submit(packet, packet.issue_cycle)
-                return None
-            return dev.submit_window(issued)
-        return run
-
-    out["device"] = _profile_once(device_for("auto"))
-    out["device_reference"] = _profile_once(device_for("reference"))
-
-    for stage, prof in out.items():
-        prof.stage = stage
+    for stage in PROFILE_STAGES:
+        out[stage] = _profile_once(legs[stage][0]())
+        out[stage].stage = stage
     return out
 
 

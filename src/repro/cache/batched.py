@@ -32,8 +32,8 @@ probe + ``move_to_end``, and per-emission ``MemoryRequest`` dataclass
 Like the batched coalescer, this engine is incompatible with the probe
 facilities: telemetry counters and span origins observe per-emission
 state the batched loop deliberately skips. The constructor refuses
-enabled probes/spans; :class:`repro.engine.system.System` auto-demotes
-to the reference front-end instead of tripping that refusal.
+enabled probes/spans; an observed :class:`repro.engine.system.System`
+builds the scalar hierarchy instead.
 
 One observable difference is documented and accepted: the inherited
 ``SetAssociativeCache`` objects serve as geometry + stats carriers only
@@ -77,13 +77,13 @@ class BatchedCacheHierarchy(CacheHierarchy):
         if getattr(probes, "enabled", False):
             raise ValueError(
                 "the batched front-end skips the per-emission state the "
-                "telemetry probes observe — use engine='reference' for "
+                "telemetry probes observe — construct CacheHierarchy for "
                 "probe runs"
             )
         if getattr(spans, "enabled", False):
             raise ValueError(
                 "the batched front-end does not stamp span origins — "
-                "use engine='reference' for span runs"
+                "construct CacheHierarchy for span runs"
             )
         super().__init__(
             config,

@@ -38,12 +38,12 @@ state:
   integral-float cycle samples below 2**53, for which addition is
   associative-exact, so deferred accumulation is bit-identical.
 
-The engine dispatch in :class:`repro.engine.system.System` selects this
-class when ``engine`` resolves to ``"batched"``; telemetry probes and
-span tracers observe intermediate per-cycle state that the batched sweep
-deliberately skips, so construction refuses enabled probes/spans (the
-``auto`` engine demotes to the reference path instead — see
-ARCHITECTURE.md, "Batched coalescer kernel").
+:class:`repro.engine.system.System` selects this class for every
+unobserved PAC run. Telemetry probes and span tracers observe
+intermediate per-cycle state that the batched sweep deliberately skips,
+so construction refuses enabled probes/spans, and an observed run builds
+the scalar coalescer instead (see ARCHITECTURE.md, "Batched coalescer
+kernel").
 """
 
 from __future__ import annotations
@@ -112,12 +112,13 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
         if getattr(probes, "enabled", False):
             raise ValueError(
                 "the batched engine skips the per-cycle state telemetry "
-                "probes observe — use engine='reference' for probe runs"
+                "probes observe — construct PagedAdaptiveCoalescer for "
+                "probe runs"
             )
         if getattr(spans, "enabled", False):
             raise ValueError(
                 "the batched engine does not stamp span stage "
-                "boundaries — use engine='reference' for span runs"
+                "boundaries — construct PagedAdaptiveCoalescer for span runs"
             )
         super().__init__(config, protocol=protocol, probes=probes, spans=spans)
 

@@ -179,6 +179,10 @@ class DDRDevice:
             )
         return completion
 
+    def sync(self) -> None:
+        """No-op: this device accounts every packet as it goes. The
+        batched twin defers its accounting until ``sync``."""
+
     # -- accounting surface (mirrors HMCDevice) ----------------------------- #
 
     @property

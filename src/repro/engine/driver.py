@@ -17,6 +17,7 @@ from repro.core.protocols import MemoryProtocol
 from repro.engine.results import RunResult
 from repro.engine.system import CoalescerKind, System
 from repro.faults import FaultInjector, NullInjector, installed, resolve_plan
+from repro.telemetry import SpanRecorder, TelemetryRegistry
 from repro.telemetry import events as ev
 from repro.workloads import BENCHMARK_NAMES
 
@@ -41,6 +42,21 @@ def _fault_scope(faults):
     )
 
 
+def per_run(probe):
+    """One run's share of a multi-run ``telemetry=``/``spans=`` argument.
+
+    A caller-supplied :class:`~repro.telemetry.TelemetryRegistry` or
+    :class:`~repro.telemetry.SpanRecorder` becomes a fresh object with
+    the caller's ``window_cycles`` or ``sample_rate``, so runs never
+    share one registry or recorder. Flags and sample rates pass through.
+    """
+    if isinstance(probe, TelemetryRegistry):
+        return TelemetryRegistry(window_cycles=probe.window_cycles)
+    if isinstance(probe, SpanRecorder):
+        return SpanRecorder(sample_rate=probe.sample_rate, seed=probe.seed)
+    return probe
+
+
 def run_benchmark(
     benchmark: str,
     coalescer: CoalescerKind = CoalescerKind.PAC,
@@ -56,7 +72,6 @@ def run_benchmark(
     spans=False,
     faults=None,
     events=None,
-    engine: str = "auto",
 ) -> RunResult:
     """Run one benchmark through one coalescer configuration.
 
@@ -76,16 +91,9 @@ def run_benchmark(
     structured event log (:mod:`repro.telemetry.events`): ``None``
     keeps whatever is active (including a ``$REPRO_EVENTS`` sink), a
     path or :class:`~repro.telemetry.events.EventLog` installs one for
-    the call, ``False`` force-disables. ``engine`` selects the
-    execution path per component — the coalescer kernel (``"batched"``
-    is the bit-identical array-backed kernel, PAC-only), the cache
-    front-end, and the memory-device back-end (every protocol has a
-    batched twin): ``"reference"`` pins all three to the per-request
-    object pipelines, ``"auto"`` (default) resolves each component to
-    its batched engine when applicable, demoting to reference — with
-    one ``demote`` event per component — when telemetry, spans, a
-    non-PAC arm (coalescer only), or active fault injection make the
-    batched path inapplicable.
+    the call, ``False`` force-disables. Whether the run is observed
+    (telemetry or spans on) picks its components: see
+    :class:`~repro.engine.system.System`.
     """
     with ev.installed(ev.resolve_events(events)) as log, _fault_scope(faults):
         if log.enabled:
@@ -101,7 +109,6 @@ def run_benchmark(
             fine_grain=fine_grain,
             telemetry=telemetry,
             spans=spans,
-            engine=engine,
         )
         result = system.run(
             benchmark, n_accesses, seed=seed,
@@ -133,7 +140,6 @@ def run_comparison(
     use_artifact_cache: bool = True,
     faults=None,
     events=None,
-    engine: str = "auto",
 ) -> Dict[CoalescerKind, RunResult]:
     """Run the same trace through several coalescer configurations.
 
@@ -146,17 +152,11 @@ def run_comparison(
     repeated comparison reloads the prefix from disk instead of
     recomputing it (``use_artifact_cache=False`` opts out). When either
     probe facility is on, each arm runs end-to-end so its registry /
-    recorder observes its own cache pass. ``faults`` installs a
-    process-scoped fault injector for the duration of the comparison
-    (the artifact-store sites are live on the cached path). ``engine``
-    applies per arm (:meth:`System.arm_engine`): ``"batched"`` pins the
-    PAC arms to the fast kernel while non-PAC arms resolve ``"auto"``.
-    The shared trace+cache prefix resolves the same knob for its
-    front-end (``"reference"`` forces the scalar generators and
-    hierarchy; the default takes the batched front-end — bit-identical
-    either way, so cached artifacts are engine-invariant). Each arm's
-    back-end resolves likewise: the default runs the batched device
-    twin, bit-identical by the same contract.
+    recorder observes its own cache pass; a caller-supplied registry or
+    recorder lends each arm its settings, not the object itself
+    (:func:`per_run`). ``faults`` installs a process-scoped fault
+    injector for the duration of the comparison (the artifact-store
+    sites are live on the cached path).
     """
     out: Dict[CoalescerKind, RunResult] = {}
     with ev.installed(ev.resolve_events(events)) as log, _fault_scope(faults):
@@ -170,10 +170,9 @@ def run_comparison(
                     seed=seed,
                     device=device,
                     extra_benchmarks=extra_benchmarks,
-                    telemetry=bool(telemetry),
-                    spans=spans if isinstance(spans, (bool, int)) else bool(spans),
+                    telemetry=per_run(telemetry),
+                    spans=per_run(spans),
                     faults=False,  # the comparison-wide scope is installed
-                    engine=System.arm_engine(kind, engine),
                 )
             return out
 
@@ -187,7 +186,6 @@ def run_comparison(
             device=device,
             extra_benchmarks=tuple(extra_benchmarks),
             use_cache=use_artifact_cache,
-            engine=engine,
         )
         requests = tp.requests()
         for kind in kinds:
@@ -196,10 +194,7 @@ def run_comparison(
                     benchmark=benchmark, coalescer=kind.value,
                     n_accesses=n_accesses, seed=seed, device=device,
                 ))
-            system = System(
-                config=config, coalescer=kind, device=device,
-                engine=System.arm_engine(kind, engine),
-            )
+            system = System(config=config, coalescer=kind, device=device)
             result = system.run_raw(
                 requests,
                 benchmark=tp.benchmark,
@@ -232,7 +227,6 @@ def run_suite(
     spans=False,
     faults=None,
     events=None,
-    engine: str = "auto",
 ) -> Dict[str, RunResult]:
     """Run every benchmark through one coalescer configuration.
 
@@ -243,6 +237,8 @@ def run_suite(
     co-running mixes without dropping down to per-benchmark calls.
     ``faults`` installs one process-scoped injector spanning the whole
     sweep; ``events`` likewise installs one suite-wide event-log scope.
+    A caller-supplied registry or recorder lends each benchmark its
+    settings, not the object itself (:func:`per_run`).
     """
     with ev.installed(ev.resolve_events(events)), _fault_scope(faults):
         return {
@@ -257,10 +253,9 @@ def run_suite(
                 fine_grain=fine_grain,
                 extra_benchmarks=extra_benchmarks,
                 scale=scale,
-                telemetry=telemetry,
-                spans=spans,
+                telemetry=per_run(telemetry),
+                spans=per_run(spans),
                 faults=False,  # the suite-wide scope is installed
-                engine=engine,
             )
             for name in benchmarks
         }

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SimulationConfig, TABLE1
-from repro.engine.driver import DEFAULT_ACCESSES, run_benchmark
+from repro.engine.driver import DEFAULT_ACCESSES, per_run, run_benchmark
 from repro.engine.health import RunHealth
 from repro.engine.results import RunResult
 from repro.engine.supervisor import (
@@ -139,11 +139,8 @@ def _job_cost(benchmark: str, kind_value: str) -> float:
 def _run_one(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
     (
         benchmark, kind_value, n_accesses, config, seed, device, telemetry,
-        spans, protocol, fine_grain, scale, extra_benchmarks, engine,
-        fault_ctx,
+        spans, protocol, fine_grain, scale, extra_benchmarks, fault_ctx,
     ) = args
-    from repro.engine.system import System
-
     with job_scope(fault_ctx, "perjob.job"):
         # faults=False: the job-entry fault already fired above, and the
         # driver must not resolve $REPRO_FAULTS into a second
@@ -155,13 +152,12 @@ def _run_one(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
             config=config,
             seed=seed,
             device=device,
-            telemetry=telemetry,
-            spans=spans,
+            telemetry=per_run(telemetry),
+            spans=per_run(spans),
             protocol=protocol,
             fine_grain=fine_grain,
             scale=scale,
             extra_benchmarks=extra_benchmarks,
-            engine=System.arm_engine(CoalescerKind(kind_value), engine),
             faults=False,
         )
     return (benchmark, kind_value), result
@@ -179,7 +175,7 @@ def _phase1_job(args: tuple):
     """
     (
         benchmark, n_accesses, config, seed, device, scale,
-        extra_benchmarks, fine_grain, use_cache, engine, fault_ctx,
+        extra_benchmarks, fine_grain, use_cache, fault_ctx,
     ) = args
     from repro.artifacts import load_or_compute_trace_pass
 
@@ -187,7 +183,7 @@ def _phase1_job(args: tuple):
         tp = load_or_compute_trace_pass(
             benchmark, n_accesses, config=config, seed=seed, device=device,
             scale=scale, extra_benchmarks=extra_benchmarks,
-            fine_grain=fine_grain, use_cache=use_cache, engine=engine,
+            fine_grain=fine_grain, use_cache=use_cache,
         )
     return benchmark, tp
 
@@ -231,7 +227,7 @@ def _phase2_job(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
     (
         bench_key, kind_value, payload, label, n_accesses_done,
         trace_end_cycle, cache_metrics, config, protocol, device,
-        fine_grain, engine, fault_ctx,
+        fine_grain, fault_ctx,
     ) = args
     from repro.artifacts import shm as shm_codec
     from repro.engine.system import System
@@ -248,7 +244,6 @@ def _phase2_job(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
             protocol=protocol,
             device=device,
             fine_grain=fine_grain,
-            engine=System.arm_engine(kind, engine),
         )
         result = system.run_raw(
             requests,
@@ -268,7 +263,6 @@ def _run_arms_serial(
     protocol,
     device: str,
     fine_grain: bool,
-    engine: str = "auto",
 ) -> Dict[Tuple[str, str], RunResult]:
     """In-process phase 2: every arm shares one decoded request list."""
     from repro.engine.system import System
@@ -283,7 +277,6 @@ def _run_arms_serial(
             protocol=protocol,
             device=device,
             fine_grain=fine_grain,
-            engine=System.arm_engine(kind, engine),
         )
         out[(bench_key, kind_value)] = system.run_raw(
             requests,
@@ -319,7 +312,6 @@ def run_suite_parallel(
     max_retries: Optional[int] = None,
     backoff_base: Optional[float] = None,
     events=None,
-    engine: str = "auto",
 ) -> Dict[Tuple[str, str], RunResult]:
     """Run every (benchmark, kind) pair concurrently, supervised.
 
@@ -351,8 +343,10 @@ def run_suite_parallel(
     ``spans=True`` (or an int sample rate) attaches a span trace the
     same way — each worker builds its own recorder, and sampling keys on
     the raw-stream ordinal, so span sets are bit-identical to serial
-    runs. Probe runs must observe the cache pass, so they always take
-    the per-job path.
+    runs. A caller-supplied registry or recorder lends each job its
+    settings, not the object itself (:func:`~repro.engine.driver.per_run`).
+    Probe runs must observe the cache pass, so they always take the
+    per-job path.
 
     ``events`` installs a suite-wide structured event log
     (:mod:`repro.telemetry.events`): suite/phase boundaries, supervisor
@@ -360,24 +354,6 @@ def run_suite_parallel(
     the parent; forked pool workers inherit the sink (or auto-install
     from ``$REPRO_EVENTS``) and append their own lines, distinguished
     by ``pid``.
-
-    ``engine`` forwards the coalescer execution-path knob of
-    :func:`~repro.engine.driver.run_benchmark` into every worker: each
-    PAC arm independently resolves ``"auto"`` inside its own process, so
-    a faulted worker demotes itself to the reference path (bit-identical
-    by the engine contract) while clean workers keep the batched kernel.
-    The knob applies per arm (:meth:`System.arm_engine`):
-    ``engine="batched"`` pins the PAC arms to the fast path while the
-    non-PAC arms — which have only their reference implementation —
-    resolve ``"auto"`` instead of rejecting the whole grid. Phase 1
-    resolves the same knob for its per-benchmark trace+cache prefix:
-    the default runs the batched front-end, ``engine="reference"``
-    forces the scalar generators and hierarchy — bit-identical by the
-    front-end contract, so artifact keys and cached passes are shared
-    across engines. The back-end resolves per worker too: each phase-2
-    job constructs its own ``System``, so its device twin (batched by
-    default, reference under blockers) is chosen inside the worker
-    process, never inherited from the parent.
     """
     if pipeline not in ("auto", "two-phase", "per-job"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
@@ -451,14 +427,14 @@ def run_suite_parallel(
                         kind_values, benchmarks, n_accesses, config, seed,
                         device, protocol, fine_grain, scale, extra_benchmarks,
                         use_artifact_cache, stats, supervisor, spec_text,
-                        health, max_retries, backoff_base, engine,
+                        health, max_retries, backoff_base,
                     )
                 else:
                     out = _run_per_job(
                         kind_values, benchmarks, n_accesses, config, seed,
                         device, telemetry, spans, protocol, fine_grain, scale,
                         extra_benchmarks, stats, supervisor, spec_text,
-                        health, max_retries, backoff_base, engine,
+                        health, max_retries, backoff_base,
                     )
         finally:
             if supervisor is not None:
@@ -498,7 +474,6 @@ def _run_two_phase(
     health: RunHealth,
     max_retries: Optional[int],
     backoff_base: Optional[float],
-    engine: str = "auto",
 ) -> Dict[Tuple[str, str], RunResult]:
     from repro.artifacts import (
         cache_enabled,
@@ -515,7 +490,7 @@ def _run_two_phase(
         return load_or_compute_trace_pass(
             bench, n_accesses, config=config, seed=seed, device=device,
             scale=scale, extra_benchmarks=extra_benchmarks,
-            fine_grain=fine_grain, use_cache=use_cache, engine=engine,
+            fine_grain=fine_grain, use_cache=use_cache,
         )
 
     # ---- phase 1: one trace+cache pass per benchmark ------------------
@@ -553,7 +528,7 @@ def _run_two_phase(
                     )
                     return (
                         bench, n_accesses, config, seed, device, scale,
-                        extra_benchmarks, fine_grain, use_cache, engine, ctx,
+                        extra_benchmarks, fine_grain, use_cache, ctx,
                     )
                 return build
 
@@ -593,7 +568,7 @@ def _run_two_phase(
                 out.update(
                     _run_arms_serial(
                         passes[bench], bench, kind_values, config,
-                        protocol, device, fine_grain, engine,
+                        protocol, device, fine_grain,
                     )
                 )
         else:
@@ -632,7 +607,7 @@ def _run_two_phase(
                         bench, kind_value, payload, tp.benchmark,
                         tp.n_accesses, tp.trace_end_cycle,
                         tp.cache_metrics, config, protocol, device,
-                        fine_grain, engine, ctx,
+                        fine_grain, ctx,
                     )
                 return build
 
@@ -664,7 +639,6 @@ def _run_two_phase(
                     protocol=protocol,
                     device=device,
                     fine_grain=fine_grain,
-                    engine=System.arm_engine(kind, engine),
                 )
                 result = system.run_raw(
                     tp.requests(),
@@ -730,7 +704,6 @@ def _run_per_job(
     health: RunHealth,
     max_retries: Optional[int],
     backoff_base: Optional[float],
-    engine: str = "auto",
 ) -> Dict[Tuple[str, str], RunResult]:
     """The pre-artifact-cache behaviour: every job runs end-to-end."""
     t0 = time.perf_counter()
@@ -750,7 +723,7 @@ def _run_per_job(
             return (
                 bench, kind_value, n_accesses, config, seed, device,
                 telemetry, spans, protocol, fine_grain, scale,
-                extra_benchmarks, engine, ctx,
+                extra_benchmarks, ctx,
             )
         return build
 

@@ -13,12 +13,18 @@ sorting-network design:
 
 Devices: ``"hmc"`` (default), ``"hbm"``, and the conventional ``"ddr"``
 foil.
+
+Every stage has a scalar component and a batched twin that is
+bit-identical to it. One rule picks between them: an *observed* run
+(telemetry or spans on) uses the scalar components, because only they
+emit probes and spans; every other run uses the batched ones. The PAC
+arm is the only coalescer with a batched kernel.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy, RawStream
 from repro.common.rng import derive_seed
@@ -51,10 +57,6 @@ class CoalescerKind(enum.Enum):
     SORT = "sortdmc"
 
 
-#: Valid values of the ``engine=`` knob.
-ENGINES = ("auto", "reference", "batched")
-
-
 class System:
     """One simulated node: cores + caches + coalescer + 3D-stacked memory."""
 
@@ -67,16 +69,10 @@ class System:
         fine_grain: bool = False,
         telemetry=False,
         spans=False,
-        engine: str = "auto",
     ) -> None:
         self.config = config
         self.kind = coalescer
         self.fine_grain = fine_grain
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        self.engine_requested = engine
         # ``telemetry`` is False (off), True (fresh registry at the
         # default window), or a caller-supplied TelemetryRegistry (e.g.
         # with a custom window_cycles).
@@ -98,19 +94,12 @@ class System:
         else:
             self.spans = spans
         span_rec = self.spans if self.spans is not None else NULL_SPANS
-        # Engines resolve before the device is constructed — the device
-        # build below dispatches on ``backend_engine`` — in demotion-rung
-        # order: coalescer first (the historical event), then front-end,
-        # then back-end. The resolvers read only the arm and the
-        # telemetry/span/fault blockers, never the probe scopes, so
-        # probe registration order (device, cache, coalescer) is
-        # unchanged from the historical wiring.
-        self.engine = self._resolve_engine(engine)
-        self.frontend_engine = self._resolve_frontend_engine(engine)
-        self.backend_engine = self._resolve_backend_engine(engine)
-        batched_device = self.backend_engine == "batched"
+        # Whether the run is observed picks every component (see the
+        # module docstring).
+        self.observed = self.telemetry is not None or self.spans is not None
+        batched = not self.observed
         if device == "hmc":
-            if batched_device:
+            if batched:
                 from repro.hmc.batched import BatchedHMCDevice as _hmc_cls
             else:
                 _hmc_cls = HMCDevice
@@ -119,7 +108,7 @@ class System:
             )
             default_protocol = HMC2_FINE if fine_grain else HMC2
         elif device == "hbm":
-            if batched_device:
+            if batched:
                 from repro.hmc.batched import BatchedHBMDevice as _hbm_cls
             else:
                 _hbm_cls = HBMDevice
@@ -132,7 +121,7 @@ class System:
         elif device == "ddr":
             # Conventional DDR4 foil (Section 2): open-page, fixed 64B
             # bursts. Coalesced packets transfer as consecutive bursts.
-            if batched_device:
+            if batched:
                 from repro.ddr.batched import BatchedDDRDevice as _ddr_cls
             else:
                 from repro.ddr.device import DDRDevice as _ddr_cls
@@ -160,175 +149,23 @@ class System:
         # touch the caches, so they skip constructing per-core L1s + LLC
         # entirely. Probe runs build it eagerly to keep the probe
         # registration order (cache before coalescer) identical to the
-        # historical wiring; the eager build dispatches on the
-        # ``frontend_engine`` resolved above.
+        # historical wiring.
         self._probes = probes
         self._span_rec = span_rec
         self._hierarchy: Optional[CacheHierarchy] = None
-        if self.telemetry is not None or self.spans is not None:
+        if self.observed:
             _ = self.hierarchy
         self.coalescer = self._build_coalescer(probes, span_rec)
-
-    @staticmethod
-    def arm_engine(kind: "CoalescerKind", engine: str) -> str:
-        """Per-arm engine for a multi-arm grid.
-
-        ``engine="batched"`` names the PAC fast path; the other arms
-        have only their reference implementation, so a grid-level
-        request resolves to ``auto`` on non-PAC arms (where ``auto``
-        is always ``reference``, eventlessly) instead of rejecting the
-        whole grid. Single-arm entry points stay strict: naming the
-        arm *and* ``batched`` is a contradiction worth a ``ValueError``.
-        """
-        if engine == "batched" and kind is not CoalescerKind.PAC:
-            return "auto"
-        return engine
-
-    def _resolve_engine(self, engine: str) -> str:
-        """Resolve the requested engine to ``"reference"`` or ``"batched"``.
-
-        The batched kernel exists only for the PAC arm and skips the
-        per-cycle state that telemetry probes and span tracers observe;
-        active fault injection likewise targets the reference execution
-        path. ``auto`` demotes to the reference engine in those cases
-        (emitting a ``demote`` event when the event log is active);
-        ``batched`` raises instead of silently changing behaviour.
-        """
-        if engine == "reference":
-            return "reference"
-        if self.kind != CoalescerKind.PAC:
-            if engine == "batched":
-                raise ValueError(
-                    "engine='batched' implements only the PAC arm; "
-                    f"got coalescer={self.kind.value!r}"
-                )
-            return "reference"
-        from repro.faults import active as faults_active
-
-        blockers = []
-        if self.telemetry is not None:
-            blockers.append("telemetry")
-        if self.spans is not None:
-            blockers.append("spans")
-        if faults_active().enabled:
-            blockers.append("faults")
-        if not blockers:
-            return "batched"
-        if engine == "batched":
-            raise ValueError(
-                "engine='batched' is incompatible with "
-                f"{'+'.join(blockers)} — use engine='reference' (or "
-                "'auto' to demote automatically)"
-            )
-        from repro.telemetry import events as ev
-
-        log = ev.active()
-        if log.enabled:
-            log.emit(ev.Demoted(
-                rung="engine:batched->reference",
-                label="+".join(blockers),
-            ))
-        return "reference"
-
-    def _resolve_frontend_engine(self, engine: str) -> str:
-        """Resolve the front-end (trace -> raw stream) engine.
-
-        Unlike the coalescer kernel, the cache front-end is independent
-        of the coalescer arm, so ``auto`` resolves to the batched
-        hierarchy (:class:`repro.cache.batched.BatchedCacheHierarchy`)
-        for *every* arm. The blockers match the coalescer's — the
-        batched front-end skips the per-emission state telemetry/span
-        probes observe, and active fault injection targets the
-        reference path — and ``auto`` demotes per component, logging
-        its own ``demote`` event under the ``engine:frontend`` rung.
-        """
-        if engine == "reference":
-            return "reference"
-        from repro.faults import active as faults_active
-
-        blockers = []
-        if self.telemetry is not None:
-            blockers.append("telemetry")
-        if self.spans is not None:
-            blockers.append("spans")
-        if faults_active().enabled:
-            blockers.append("faults")
-        if not blockers:
-            return "batched"
-        if engine == "batched":
-            # Unreachable today: _resolve_engine already raised for
-            # every explicit-batched blocker combination. Kept so the
-            # front-end resolver stands on its own.
-            raise ValueError(
-                "engine='batched' is incompatible with "
-                f"{'+'.join(blockers)} — use engine='reference' (or "
-                "'auto' to demote automatically)"
-            )
-        from repro.telemetry import events as ev
-
-        log = ev.active()
-        if log.enabled:
-            log.emit(ev.Demoted(
-                rung="engine:frontend:batched->reference",
-                label="+".join(blockers),
-            ))
-        return "reference"
-
-    def _resolve_backend_engine(self, engine: str) -> str:
-        """Resolve the back-end (memory device) engine.
-
-        Every protocol has a batched twin
-        (:class:`repro.hmc.batched.BatchedHMCDevice` /
-        ``BatchedHBMDevice`` / :class:`repro.ddr.batched.
-        BatchedDDRDevice`), so like the front-end this resolution is
-        arm-independent. The blockers match the other two components' —
-        the batched device defers every observable side effect past the
-        per-packet probe/span windows, and active fault injection
-        targets the reference path — and ``auto`` demotes per
-        component, logging its own ``demote`` event under the
-        ``engine:backend`` rung (ordered after the front-end's).
-        """
-        if engine == "reference":
-            return "reference"
-        from repro.faults import active as faults_active
-
-        blockers = []
-        if self.telemetry is not None:
-            blockers.append("telemetry")
-        if self.spans is not None:
-            blockers.append("spans")
-        if faults_active().enabled:
-            blockers.append("faults")
-        if not blockers:
-            return "batched"
-        if engine == "batched":
-            # Unreachable today: _resolve_engine already raised for
-            # every explicit-batched blocker combination. Kept so the
-            # back-end resolver stands on its own.
-            raise ValueError(
-                "engine='batched' is incompatible with "
-                f"{'+'.join(blockers)} — use engine='reference' (or "
-                "'auto' to demote automatically)"
-            )
-        from repro.telemetry import events as ev
-
-        log = ev.active()
-        if log.enabled:
-            log.emit(ev.Demoted(
-                rung="engine:backend:batched->reference",
-                label="+".join(blockers),
-            ))
-        return "reference"
 
     @property
     def hierarchy(self) -> CacheHierarchy:
         if self._hierarchy is None:
-            if self.frontend_engine == "batched":
-                from repro.cache.batched import BatchedCacheHierarchy
-
-                hierarchy_cls = BatchedCacheHierarchy
-            else:
+            if self.observed:
                 hierarchy_cls = CacheHierarchy
+            else:
+                from repro.cache.batched import (
+                    BatchedCacheHierarchy as hierarchy_cls,
+                )
             # Fine-grain mode traces demand accesses at their CPU data
             # size; line-granular prefetch traffic would drown the
             # Figure 10b size distribution, so the prefetcher is off
@@ -374,9 +211,9 @@ class System:
 
             pac_cfg = replace(pac_cfg, fine_grain=True)
         cls = (
-            BatchedPagedAdaptiveCoalescer
-            if self.engine == "batched"
-            else PagedAdaptiveCoalescer
+            PagedAdaptiveCoalescer
+            if self.observed
+            else BatchedPagedAdaptiveCoalescer
         )
         return cls(
             pac_cfg, protocol=self.protocol, probes=probes.scope("pac"),
@@ -398,28 +235,9 @@ class System:
         with its own page table over a shared frame pool, pinned to a
         disjoint core subset and interleaved in time — the paper's
         multiprocessing mode (Figure 6b).
-
-        A ``"reference"`` front-end engine pins generation to the
-        retained scalar generators (where one exists); the vectorized
-        generators are bit-identical, so the two paths produce the same
-        trace.
         """
         if not benchmarks:
             raise ValueError("need at least one benchmark")
-        if self.frontend_engine == "reference":
-            from repro.workloads.base import reference_trace_gen
-
-            with reference_trace_gen():
-                return self._build_trace(benchmarks, n_accesses, seed, scale)
-        return self._build_trace(benchmarks, n_accesses, seed, scale)
-
-    def _build_trace(
-        self,
-        benchmarks: Sequence[str],
-        n_accesses: int,
-        seed: Optional[int],
-        scale,
-    ) -> AccessTrace:
         seed = self.config.seed if seed is None else seed
         if self.spans is not None:
             # Bind the resolved run seed so serial and parallel suites
@@ -467,10 +285,9 @@ class System:
         cache_metrics = self.hierarchy.summary_metrics(len(raw.requests))
         trace_end = int(trace.cycles[-1]) if len(trace) else 0
         outcome = self.coalescer.process(raw.requests, self.device)
-        if self.backend_engine == "batched":
-            # Merge the device's deferred window accounting before
-            # build_result reads its stats/energy surfaces.
-            self.device.sync()
+        # Merge the device's deferred accounting (a no-op on the scalar
+        # devices) before build_result reads its stats/energy surfaces.
+        self.device.sync()
         span_trace = None
         if self.spans is not None:
             span_trace = self.spans.finalize(
@@ -517,8 +334,7 @@ class System:
                 "probes must observe — use run_trace/run for probe runs"
             )
         outcome = self.coalescer.process(requests, self.device)
-        if self.backend_engine == "batched":
-            self.device.sync()
+        self.device.sync()
         return build_result(
             benchmark=benchmark,
             coalescer_name=self.kind.value,

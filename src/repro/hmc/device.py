@@ -368,6 +368,10 @@ class HMCDevice:
             )
         return completion
 
+    def sync(self) -> None:
+        """No-op: this device accounts every packet as it goes. The
+        batched twin defers its accounting until ``sync``."""
+
     # -- convenience metrics -------------------------------------------------
 
     @property

@@ -7,8 +7,8 @@ eager secondaries and streamer-prefetcher decisions, the same LLC
 write-back stream, the same ``StatsRegistry`` counters, and therefore
 the same full :class:`~repro.engine.results.RunResult` through every
 coalescer arm. This suite is the enforcement point for the front-end
-half of the engine contract (the coalescer half lives in
-``tests/engine/test_engine_parity.py``).
+half of the bit-identity contract (the coalescer and device halves live
+in ``tests/engine/test_engine_parity.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.common.types import reset_request_ids
 from repro.config import TABLE1
 from repro.engine.driver import run_benchmark
 from repro.engine.system import CoalescerKind, System
-from repro.telemetry import events as ev
+from tests.oracle import reference_system
 
 #: The CI parity grid: the paper's most coalescable (gs), least
 #: coalescable (bfs), stride-friendly (stream), and mixed (hpcg)
@@ -33,7 +33,7 @@ SEED = 1234
 
 
 def _trace(bench, n=N, seed=SEED):
-    system = System(coalescer=CoalescerKind.NONE, engine="reference")
+    system = reference_system(coalescer=CoalescerKind.NONE)
     return system.build_trace([bench], n, seed=seed)
 
 
@@ -85,7 +85,7 @@ class TestRawStreamIdentity:
 
     def test_multi_process_trace_identical(self):
         """Co-running benchmarks: per-core streams span two page tables."""
-        system = System(coalescer=CoalescerKind.NONE, engine="reference")
+        system = reference_system(coalescer=CoalescerKind.NONE)
         trace = system.build_trace(["gs", "bfs"], 3000, seed=9)
         _, rs, _, bs = _streams(trace)
         assert rs.requests == bs.requests
@@ -109,52 +109,45 @@ class TestRawStreamIdentity:
 
 
 class TestRunResultIdentity:
-    """Full-``RunResult`` equality, every engine arm — the acceptance
-    gate mirrored by the CI front-end parity step."""
+    """Full-``RunResult`` equality against the oracle, every coalescer
+    arm — the acceptance gate mirrored by the CI front-end parity step."""
 
     @pytest.mark.parametrize("bench", BENCHMARKS)
     @pytest.mark.parametrize(
         "kind", (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC)
     )
     def test_reference_vs_auto(self, bench, kind):
-        ref = run_benchmark(
-            bench, coalescer=kind, n_accesses=N, seed=SEED,
-            engine="reference", faults=False,
-        )
+        ref = reference_system(coalescer=kind).run(bench, N, seed=SEED)
         auto = run_benchmark(
-            bench, coalescer=kind, n_accesses=N, seed=SEED,
-            engine="auto", faults=False,
+            bench, coalescer=kind, n_accesses=N, seed=SEED, faults=False,
         )
         assert ref == auto
 
     def test_reference_vs_explicit_batched_pac(self):
-        ref = run_benchmark(
-            "gs", coalescer=CoalescerKind.PAC, n_accesses=N, seed=SEED,
-            engine="reference", faults=False,
-        )
-        bat = run_benchmark(
-            "gs", coalescer=CoalescerKind.PAC, n_accesses=N, seed=SEED,
-            engine="batched", faults=False,
-        )
-        assert ref == bat
+        """The oracle against a PAC system assembled explicitly with the
+        batched front-end and the scalar coalescer and device: the
+        front-end alone already matches."""
+        ref = reference_system(coalescer=CoalescerKind.PAC)
+        mixed = reference_system(coalescer=CoalescerKind.PAC)
+        mixed.hierarchy = System(coalescer=CoalescerKind.PAC).hierarchy
+        assert isinstance(mixed.hierarchy, BatchedCacheHierarchy)
+        assert ref.run("gs", N, seed=SEED) == mixed.run("gs", N, seed=SEED)
 
 
 class TestFrontendDispatch:
     def test_auto_builds_batched_hierarchy_for_every_arm(self):
         for kind in (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC):
-            s = System(coalescer=kind, engine="auto")
-            assert s.frontend_engine == "batched"
+            s = System(coalescer=kind)
             assert isinstance(s.hierarchy, BatchedCacheHierarchy)
 
     def test_reference_builds_scalar_hierarchy(self):
-        s = System(coalescer=CoalescerKind.PAC, engine="reference")
-        assert s.frontend_engine == "reference"
+        s = reference_system(coalescer=CoalescerKind.PAC)
         assert not isinstance(s.hierarchy, BatchedCacheHierarchy)
 
     def test_probes_demote_frontend(self):
-        s = System(coalescer=CoalescerKind.NONE, engine="auto", telemetry=True)
-        assert s.frontend_engine == "reference"
-        assert not isinstance(s.hierarchy, BatchedCacheHierarchy)
+        for kw in ({"telemetry": True}, {"spans": True}):
+            s = System(coalescer=CoalescerKind.NONE, **kw)
+            assert not isinstance(s.hierarchy, BatchedCacheHierarchy)
 
     def test_batched_ctor_refuses_enabled_probes(self):
         from repro.telemetry import TelemetryRegistry
@@ -164,58 +157,19 @@ class TestFrontendDispatch:
                 TABLE1.cache, probes=TelemetryRegistry().scope("cache")
             )
 
-    def test_frontend_demotion_emits_its_own_rung(self):
-        log = ev.EventLog()
-        with ev.installed(log):
-            System(coalescer=CoalescerKind.NONE, engine="auto", spans=True)
-        demotes = [r for r in log.records if r["kind"] == "demote"]
-        assert [d["rung"] for d in demotes] == [
-            "engine:frontend:batched->reference",
-            "engine:backend:batched->reference",
-        ]
-        assert "spans" in demotes[0]["label"]
+    def test_reference_engine_pins_scalar_trace_generators(self, monkeypatch):
+        """The oracle must run the retained scalar generators — same
+        bits, different code path."""
+        from repro.workloads.gather_scatter import GatherScatter
 
-    def test_pac_probe_run_logs_coalescer_rung_first(self):
-        log = ev.EventLog()
-        with ev.installed(log):
-            System(coalescer=CoalescerKind.PAC, engine="auto", telemetry=True)
-        demotes = [r for r in log.records if r["kind"] == "demote"]
-        assert [d["rung"] for d in demotes] == [
-            "engine:batched->reference",
-            "engine:frontend:batched->reference",
-            "engine:backend:batched->reference",
-        ]
-
-    def test_faults_demote_frontend_auto(self):
-        from repro.faults import FaultInjector, installed, resolve_plan
-
-        plan = resolve_plan("artifact.get:corrupt@0")
-        with installed(FaultInjector(plan)):
-            s = System(coalescer=CoalescerKind.NONE, engine="auto")
-            assert s.frontend_engine == "reference"
-
-    def test_reference_engine_pins_scalar_trace_generators(self):
-        """engine='reference' must also run the retained scalar
-        generators — same bits, different code path."""
-        from repro.workloads import base as wl_base
-
-        seen = []
-        orig = wl_base.reference_trace_gen
-
-        s_ref = System(coalescer=CoalescerKind.NONE, engine="reference")
-        s_fast = System(coalescer=CoalescerKind.NONE, engine="auto")
-        try:
-            def probe():
-                seen.append(True)
-                return orig()
-
-            wl_base.reference_trace_gen = probe
-            # System.build_trace imports the symbol lazily, so the probe
-            # observes whether the reference gate was entered.
-            t_ref = s_ref.build_trace(["gs"], 600, seed=2)
-        finally:
-            wl_base.reference_trace_gen = orig
-        assert seen, "reference engine must enter the scalar-generator gate"
+        s_fast = System(coalescer=CoalescerKind.NONE)
         t_fast = s_fast.build_trace(["gs"], 600, seed=2)
+
+        def vectorized(*args, **kwargs):
+            raise AssertionError("the oracle ran the vectorized generator")
+
+        monkeypatch.setattr(GatherScatter, "_core_stream", vectorized)
+        s_ref = reference_system(coalescer=CoalescerKind.NONE)
+        t_ref = s_ref.build_trace(["gs"], 600, seed=2)
         assert (t_ref.addrs == t_fast.addrs).all()
         assert (t_ref.cycles == t_fast.cycles).all()

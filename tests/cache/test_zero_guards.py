@@ -4,7 +4,8 @@ Every derived metric in the front-end and result layers divides by some
 population count — accesses, raw requests, issued packets, serviced
 requests. An empty trace (or a stream that coalesces to nothing) must
 yield well-defined zeros everywhere, never a ZeroDivisionError, on
-**both** front-end engines. These tests pin that contract so a future
+**both** pipelines: the production one (``auto``) and the scalar oracle
+(``reference``). These tests pin that contract so a future
 refactor that drops a guard fails here instead of deep inside a suite
 run.
 """
@@ -19,16 +20,15 @@ from repro.config import TABLE1
 from repro.engine.results import build_result
 from repro.engine.system import CoalescerKind, System
 from repro.mem.trace import AccessTrace
+from tests.oracle import reference_system
 
 ARMS = (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC)
 ENGINES = ("reference", "auto")
 
 
 def _system(kind: CoalescerKind, engine: str, **kw) -> System:
-    return System(
-        config=TABLE1, coalescer=kind,
-        engine=System.arm_engine(kind, engine), **kw,
-    )
+    make = reference_system if engine == "reference" else System
+    return make(config=TABLE1, coalescer=kind, **kw)
 
 
 class TestRawStreamZeroGuards:

@@ -105,9 +105,10 @@ class TestEngineEqualityOnSyntheticStreams:
               suppress_health_check=[HealthCheck.too_slow])
     def test_batched_matches_reference(self, reqs):
         from repro.engine.system import CoalescerKind, System
+        from tests.oracle import reference_system
 
-        ref_sys = System(coalescer=CoalescerKind.PAC, engine="reference")
-        bat_sys = System(coalescer=CoalescerKind.PAC, engine="batched")
+        ref_sys = reference_system(coalescer=CoalescerKind.PAC)
+        bat_sys = System(coalescer=CoalescerKind.PAC)
         ref = ref_sys.coalescer.process(list(reqs), ref_sys.device)
         bat = bat_sys.coalescer.process(list(reqs), bat_sys.device)
         assert ref.n_issued == bat.n_issued

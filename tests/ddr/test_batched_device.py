@@ -136,36 +136,17 @@ class TestResidualStateRegression:
         assert_devices_equal(ref, bat)
 
     def test_window_after_scalar_sees_residue(self):
+        """A second accounting window (submits after a ``sync``) starts
+        from the bank state the first window left."""
         packets = mixed_packets(200, seed=31)
         ref, bat = DDRDevice(), BatchedDDRDevice()
         for p in packets[:80]:
             ref.submit(p, p.issue_cycle)
             bat.submit(p, p.issue_cycle)
+        bat.sync()
         expected = [ref.submit(p, p.issue_cycle) for p in packets[80:]]
-        assert bat.submit_window(packets[80:]) == expected
+        assert [bat.submit(p, p.issue_cycle) for p in packets[80:]] == expected
         assert_devices_equal(ref, bat)
-
-
-class TestSubmitWindow:
-    def test_window_matches_reference_loop(self):
-        packets = mixed_packets(600, seed=11)
-        ref, bat = DDRDevice(), BatchedDDRDevice()
-        expected = [ref.submit(p, p.issue_cycle) for p in packets]
-        assert bat.submit_window(packets) == expected
-        assert_devices_equal(ref, bat)
-
-    def test_window_rejects_empty_packet(self):
-        from types import SimpleNamespace
-
-        bad = SimpleNamespace(addr=0, size=0, op=MemOp.LOAD, issue_cycle=0)
-        bat = BatchedDDRDevice()
-        with pytest.raises(ValueError, match="carry data"):
-            bat.submit_window([bad])
-
-    def test_empty_window(self):
-        bat = BatchedDDRDevice()
-        assert bat.submit_window([]) == []
-        assert "packets" not in bat.stats.as_dict()
 
 
 class TestSyncSemantics:

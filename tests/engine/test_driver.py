@@ -121,3 +121,53 @@ class TestDriverAPI:
             "stream", CoalescerKind.PAC, n_accesses=4000, device="hbm"
         )
         assert res.n_issued > 0
+
+
+class TestCallerProbeObjects:
+    """A registry or recorder handed to a multi-run entry point lends
+    each run its settings; no two runs share one object."""
+
+    def test_run_suite_gives_each_benchmark_its_own_registry(self):
+        from repro.telemetry import TelemetryRegistry
+
+        out = run_suite(
+            benchmarks=("stream", "gs"), n_accesses=2000, seed=5,
+            telemetry=TelemetryRegistry(window_cycles=4096),
+        )
+        alone = run_benchmark(
+            "gs", n_accesses=2000, seed=5,
+            telemetry=TelemetryRegistry(window_cycles=4096),
+        )
+        assert out["stream"].telemetry is not out["gs"].telemetry
+        assert out["gs"].telemetry.window_cycles == 4096
+        packets = out["gs"].telemetry.counters["device.packets"].total
+        assert packets == alone.telemetry.counters["device.packets"].total
+        assert packets == out["gs"].n_issued
+
+    def test_run_comparison_keeps_caller_settings(self):
+        from repro.telemetry import SpanRecorder, TelemetryRegistry
+
+        out = run_comparison(
+            "gs", n_accesses=2000, seed=5,
+            telemetry=TelemetryRegistry(window_cycles=4096),
+            spans=SpanRecorder(sample_rate=2),
+        )
+        registries = {id(r.telemetry) for r in out.values()}
+        assert len(registries) == len(out)
+        for result in out.values():
+            assert result.telemetry.window_cycles == 4096
+            assert result.spans.sample_rate == 2
+
+    def test_run_suite_parallel_serial_gives_each_job_its_own_registry(self):
+        from repro.engine.parallel import run_suite_parallel
+        from repro.telemetry import TelemetryRegistry
+
+        out = run_suite_parallel(
+            kinds=(CoalescerKind.PAC,), benchmarks=("stream", "gs"),
+            n_accesses=2000, seed=5, max_workers=1,
+            telemetry=TelemetryRegistry(window_cycles=4096),
+        )
+        gs = out[("gs", "pac")]
+        assert gs.telemetry is not out[("stream", "pac")].telemetry
+        assert gs.telemetry.window_cycles == 4096
+        assert gs.telemetry.counters["device.packets"].total == gs.n_issued

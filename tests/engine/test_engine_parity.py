@@ -1,11 +1,14 @@
-"""Bit-identity contract of the batched coalescer engine.
+"""Bit-identity contract of the batched components, and the rule that
+picks them.
 
-The batched kernel (:mod:`repro.core.pac_batched`) is only allowed to
-exist because it is *indistinguishable* from the reference PAC pipeline:
-every field of every :class:`~repro.engine.results.RunResult` (``health``
-excluded from ``==`` by design) must match, across every benchmark, arm,
-and protocol. This suite is the enforcement point — the perf numbers in
-``BENCH_*.json`` are only meaningful while these tests pass.
+The batched kernel (:mod:`repro.core.pac_batched`), the batched cache
+hierarchy and the batched devices are only allowed to exist because they
+are *indistinguishable* from the scalar reference pipeline: every field
+of every :class:`~repro.engine.results.RunResult` (``health`` excluded
+from ``==`` by design) must match the oracle (:mod:`tests.oracle`),
+across every benchmark, arm and protocol. This suite is the enforcement
+point — the perf numbers in ``BENCH_*.json`` are only meaningful while
+these tests pass.
 
 The grid here intentionally trades trace length for coverage breadth:
 short traces across benchmarks × protocols × fine_grain catch divergence
@@ -15,11 +18,21 @@ ordering far more reliably than one long trace on one configuration.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.cache.batched import BatchedCacheHierarchy
+from repro.cache.hierarchy import CacheHierarchy
+from repro.core.pac import PagedAdaptiveCoalescer
+from repro.core.pac_batched import BatchedPagedAdaptiveCoalescer
 from repro.engine.driver import run_benchmark
 from repro.engine.system import CoalescerKind, System
+from repro.hmc.batched import BatchedHMCDevice
+from repro.hmc.device import HMCDevice
+from repro.mshr.dmc import MSHRBasedDMC, NullCoalescer
 from repro.telemetry import events as ev
+from tests.oracle import reference_engines, reference_system
 
 GRID_ACCESSES = 4000
 SEED = 1234
@@ -28,172 +41,157 @@ BENCHMARKS = ("gs", "stream", "bfs")
 DEVICES = ("hmc", "hbm", "ddr")
 
 
-def _run(bench, device, engine, **kw):
+def _run(bench, device, **kw):
     return run_benchmark(
         bench,
         coalescer=CoalescerKind.PAC,
         n_accesses=GRID_ACCESSES,
         seed=SEED,
         device=device,
-        engine=engine,
         faults=False,
         **kw,
     )
+
+
+def _oracle(bench, device, fine_grain=False, **kw):
+    system = reference_system(
+        coalescer=CoalescerKind.PAC, device=device, fine_grain=fine_grain,
+        **kw,
+    )
+    return system.run(bench, GRID_ACCESSES, seed=SEED)
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("device", DEVICES)
     @pytest.mark.parametrize("bench", BENCHMARKS)
     def test_full_runresult_equality(self, bench, device):
-        ref = _run(bench, device, "reference")
-        bat = _run(bench, device, "batched")
-        assert ref == bat
+        assert _run(bench, device) == _oracle(bench, device)
 
     def test_fine_grain_equality(self):
-        ref = _run("gs", "hmc", "reference", fine_grain=True)
-        bat = _run("gs", "hmc", "batched", fine_grain=True)
-        assert ref == bat
+        bat = _run("gs", "hmc", fine_grain=True)
+        assert bat == _oracle("gs", "hmc", fine_grain=True)
 
     def test_auto_resolves_to_batched_and_matches(self):
         system = System(coalescer=CoalescerKind.PAC)
-        assert system.engine == "batched"
-        auto = _run("stream", "hmc", "auto")
-        ref = _run("stream", "hmc", "reference")
-        assert auto == ref
+        assert type(system.coalescer) is BatchedPagedAdaptiveCoalescer
+        assert _run("stream", "hmc") == _oracle("stream", "hmc")
 
     def test_issued_packets_identical(self):
         """The packet stream itself — not just aggregates — must match.
 
-        req_ids come from a process-global counter, so both engines must
-        replay the *same* trace object to be comparable.
+        req_ids come from a process-global counter, so both pipelines
+        must replay the *same* trace object to be comparable.
         """
-        base = System(coalescer=CoalescerKind.PAC, engine="reference")
+        base = reference_system(coalescer=CoalescerKind.PAC)
         trace = base.build_trace(["gs"], 3000, seed=7)
         requests = list(trace.requests())
         ref = base.coalescer.process(list(requests), base.device)
-        bat_sys = System(coalescer=CoalescerKind.PAC, engine="batched")
+        bat_sys = System(coalescer=CoalescerKind.PAC)
         bat = bat_sys.coalescer.process(list(requests), bat_sys.device)
         assert len(ref.issued) == len(bat.issued)
         for a, b in zip(ref.issued, bat.issued):
             assert a == b
-        for reg_name in ("stats",):
-            assert (
-                getattr(base.coalescer, reg_name).as_dict()
-                == getattr(bat_sys.coalescer, reg_name).as_dict()
-            )
+        assert (
+            base.coalescer.stats.as_dict()
+            == bat_sys.coalescer.stats.as_dict()
+        )
 
 
 class TestDispatchRules:
     def test_reference_always_honoured(self):
-        s = System(coalescer=CoalescerKind.PAC, engine="reference")
-        assert s.engine == "reference"
+        """The oracle runs every stage on its scalar component."""
+        for kw in ({}, {"telemetry": True}):
+            s = reference_system(coalescer=CoalescerKind.PAC, **kw)
+            assert type(s.coalescer) is PagedAdaptiveCoalescer
+            assert type(s.hierarchy) is CacheHierarchy
+            assert type(s.device) is HMCDevice
 
     @pytest.mark.parametrize("kind", [CoalescerKind.NONE, CoalescerKind.DMC])
     def test_non_pac_auto_is_reference(self, kind):
-        s = System(coalescer=kind, engine="auto")
-        assert s.engine == "reference"
-
-    @pytest.mark.parametrize("kind", [CoalescerKind.NONE, CoalescerKind.DMC])
-    def test_non_pac_explicit_batched_rejected(self, kind):
-        with pytest.raises(ValueError, match="only the PAC arm"):
-            System(coalescer=kind, engine="batched")
-
-    @pytest.mark.parametrize(
-        "blocker_kw", [dict(telemetry=True), dict(spans=True)]
-    )
-    def test_probe_blockers_reject_explicit_batched(self, blocker_kw):
-        with pytest.raises(ValueError, match="incompatible"):
-            System(coalescer=CoalescerKind.PAC, engine="batched", **blocker_kw)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            System(coalescer=CoalescerKind.PAC, engine="vectorised")
-
-    @pytest.mark.parametrize("kind", [CoalescerKind.NONE, CoalescerKind.DMC])
-    def test_arm_engine_maps_batched_to_auto_off_pac(self, kind):
-        assert System.arm_engine(kind, "batched") == "auto"
-        assert System.arm_engine(kind, "reference") == "reference"
-        assert System.arm_engine(CoalescerKind.PAC, "batched") == "batched"
+        # Only the PAC arm has a batched kernel.
+        s = System(coalescer=kind)
+        assert type(s.coalescer) in (NullCoalescer, MSHRBasedDMC)
 
 
 class TestGridLevelEngine:
-    """``engine="batched"`` on multi-arm grids pins only the PAC arms.
-
-    Naming a single non-PAC System ``batched`` is a contradiction and
-    raises (``TestDispatchRules``); asking a whole comparison or suite
-    for the fast path must instead run non-PAC arms on their only
-    (reference) implementation — bit-identically to ``reference``.
-    """
+    """Multi-arm entry points run the batched components on every arm
+    that has them and match the oracle, whole grids at once."""
 
     def test_run_comparison_accepts_batched(self):
         from repro.engine.driver import run_comparison
 
-        ref = run_comparison(
-            "stream", n_accesses=2000, seed=11, engine="reference",
-            use_artifact_cache=False,
-        )
-        bat = run_comparison(
-            "stream", n_accesses=2000, seed=11, engine="batched",
-            use_artifact_cache=False,
-        )
-        assert ref == bat
+        kw = dict(n_accesses=2000, seed=11, use_artifact_cache=False)
+        with reference_engines():
+            ref = run_comparison("stream", **kw)
+        assert ref == run_comparison("stream", **kw)
 
     def test_run_suite_parallel_accepts_batched(self):
         from repro.engine.parallel import run_suite_parallel
 
-        ref = run_suite_parallel(
-            n_accesses=1500, seed=9, benchmarks=["gs", "stream"],
-            max_workers=1, engine="reference",
-        )
-        bat = run_suite_parallel(
-            n_accesses=1500, seed=9, benchmarks=["gs", "stream"],
-            max_workers=2, engine="batched",
-        )
-        assert ref == bat
+        kw = dict(n_accesses=1500, seed=9, benchmarks=["gs", "stream"])
+        with reference_engines():
+            ref = run_suite_parallel(max_workers=1, **kw)
+        assert ref == run_suite_parallel(max_workers=2, **kw)
 
 
 class TestAutoDemotion:
+    """An observed run takes the scalar components on its own, silently."""
+
     def test_telemetry_demotes_and_matches_reference(self):
-        demoted = _run("gs", "hmc", "auto", telemetry=True)
-        ref = _run("gs", "hmc", "reference", telemetry=True)
-        assert demoted == ref
-
-    def test_demotion_emits_event(self):
-        log = ev.EventLog()
-        with ev.installed(log):
-            system = System(
-                coalescer=CoalescerKind.PAC, engine="auto", telemetry=True
-            )
-        assert system.engine == "reference"
-        demotes = [r for r in log.records if r["kind"] == "demote"]
-        assert demotes, "auto demotion must land in the event log"
-        assert demotes[0]["rung"] == "engine:batched->reference"
-        assert "telemetry" in demotes[0]["label"]
-
-    def test_faults_demote_auto(self):
-        from repro.faults import FaultInjector, installed, resolve_plan
-
-        plan = resolve_plan("artifact.get:corrupt@0")
-        with installed(FaultInjector(plan)):
-            s = System(coalescer=CoalescerKind.PAC, engine="auto")
-            assert s.engine == "reference"
-            with pytest.raises(ValueError, match="incompatible"):
-                System(coalescer=CoalescerKind.PAC, engine="batched")
+        observed = _run("gs", "hmc", telemetry=True)
+        assert observed == _oracle("gs", "hmc", telemetry=True)
 
     def test_clean_run_does_not_demote(self):
         log = ev.EventLog()
         with ev.installed(log):
-            system = System(coalescer=CoalescerKind.PAC, engine="auto")
-        assert system.engine == "batched"
+            system = System(coalescer=CoalescerKind.PAC)
+            System(coalescer=CoalescerKind.PAC, telemetry=True)
+        assert type(system.coalescer) is BatchedPagedAdaptiveCoalescer
         assert not [r for r in log.records if r["kind"] == "demote"]
 
 
+class TestObservationRule:
+    """``observed = telemetry or spans`` picks every component."""
+
+    def test_observed_run_is_scalar_and_equals_unobserved_run(self):
+        """An observed system runs the scalar components, and its result
+        with the observations removed equals the unobserved run's."""
+        for kw in ({"telemetry": True}, {"spans": True}):
+            s = System(coalescer=CoalescerKind.PAC, **kw)
+            assert s.observed
+            assert type(s.coalescer) is PagedAdaptiveCoalescer
+            assert type(s.hierarchy) is CacheHierarchy
+            assert type(s.device) is HMCDevice
+        observed = _run("bfs", "hmc", telemetry=True, spans=True)
+        assert observed.telemetry is not None and observed.spans is not None
+        stripped = dataclasses.replace(observed, telemetry=None, spans=None)
+        assert stripped == _run("bfs", "hmc")
+
+    def test_active_faults_keep_batched_components(self):
+        """Every fault site sits outside the simulator, so an active
+        plan leaves the run on the batched components — and the result
+        still matches the oracle."""
+        from repro.faults import FaultInjector, installed, resolve_plan
+
+        spec = "artifact.get:corrupt@0"
+        with installed(FaultInjector(resolve_plan(spec))):
+            s = System(coalescer=CoalescerKind.PAC)
+            assert type(s.coalescer) is BatchedPagedAdaptiveCoalescer
+            assert type(s.hierarchy) is BatchedCacheHierarchy
+            assert type(s.device) is BatchedHMCDevice
+        faulted = run_benchmark(
+            "gs", coalescer=CoalescerKind.PAC, n_accesses=GRID_ACCESSES,
+            seed=SEED, faults=spec,
+        )
+        assert faulted == _oracle("gs", "hmc")
+
+
 class TestBackendEngine:
-    """Resolution rules for the memory-device back-end engine."""
+    """Device selection per protocol."""
 
     def test_auto_dispatches_batched_device_per_protocol(self):
         from repro.ddr.batched import BatchedDDRDevice
-        from repro.hmc.batched import BatchedHBMDevice, BatchedHMCDevice
+        from repro.hmc.batched import BatchedHBMDevice
 
         expected = {
             "hmc": BatchedHMCDevice,
@@ -202,77 +200,32 @@ class TestBackendEngine:
         }
         for device, cls in expected.items():
             s = System(coalescer=CoalescerKind.PAC, device=device)
-            assert s.backend_engine == "batched"
             assert type(s.device) is cls
 
     def test_reference_pins_scalar_device_classes(self):
         from repro.ddr.device import DDRDevice
-        from repro.hmc.device import HMCDevice
         from repro.hmc.hbm import HBMDevice
 
         expected = {"hmc": HMCDevice, "hbm": HBMDevice, "ddr": DDRDevice}
         for device, cls in expected.items():
-            s = System(
-                coalescer=CoalescerKind.PAC, device=device,
-                engine="reference",
-            )
-            assert s.backend_engine == "reference"
+            s = reference_system(coalescer=CoalescerKind.PAC, device=device)
+            assert type(s.device) is cls
+            s = System(coalescer=CoalescerKind.PAC, device=device, spans=True)
             assert type(s.device) is cls
 
     def test_non_pac_arms_still_get_batched_backend(self):
-        # The back-end is arm-independent: NONE/DMC demote only the
-        # coalescer kernel, never the device twin.
-        from repro.hmc.batched import BatchedHMCDevice
-
+        # The device is arm-independent: NONE/DMC have no batched
+        # coalescer, but they still drive the batched device.
         for kind in (CoalescerKind.NONE, CoalescerKind.DMC):
             s = System(coalescer=kind, device="hmc")
-            assert s.engine == "reference"
-            assert s.backend_engine == "batched"
             assert type(s.device) is BatchedHMCDevice
 
     @pytest.mark.parametrize("blocker_kw", [
         {"telemetry": True}, {"spans": True},
     ])
     def test_blockers_demote_auto_backend(self, blocker_kw):
-        from repro.hmc.device import HMCDevice
-
-        s = System(coalescer=CoalescerKind.PAC, engine="auto", **blocker_kw)
-        assert s.backend_engine == "reference"
+        s = System(coalescer=CoalescerKind.PAC, **blocker_kw)
         assert type(s.device) is HMCDevice
-
-    def test_faults_demote_auto_backend(self):
-        from repro.faults import FaultInjector, installed, resolve_plan
-        from repro.hmc.device import HMCDevice
-
-        plan = resolve_plan("artifact.get:corrupt@0")
-        with installed(FaultInjector(plan)):
-            s = System(coalescer=CoalescerKind.PAC, engine="auto")
-            assert s.backend_engine == "reference"
-            assert type(s.device) is HMCDevice
-
-    def test_backend_demotion_rung_is_last(self):
-        log = ev.EventLog()
-        with ev.installed(log):
-            s = System(
-                coalescer=CoalescerKind.PAC, engine="auto", telemetry=True
-            )
-        assert s.backend_engine == "reference"
-        demotes = [r for r in log.records if r["kind"] == "demote"]
-        rungs = [r["rung"] for r in demotes]
-        assert rungs == [
-            "engine:batched->reference",
-            "engine:frontend:batched->reference",
-            "engine:backend:batched->reference",
-        ]
-        assert "telemetry" in demotes[-1]["label"]
-
-    def test_explicit_batched_with_blocker_raises(self):
-        # The coalescer resolver raises first on the System path, but
-        # the back-end resolver must refuse on its own too.
-        s = System(coalescer=CoalescerKind.PAC, engine="reference",
-                   telemetry=True)
-        with pytest.raises(ValueError, match="incompatible"):
-            s._resolve_backend_engine("batched")
 
     def test_run_raw_syncs_batched_device(self):
         # run_trace/run_raw must merge the deferred window before
@@ -280,6 +233,6 @@ class TestBackendEngine:
         # RunResult equality in TestBitIdentity only holds if it did,
         # but assert the mechanism directly: no residue after a run.
         s = System(coalescer=CoalescerKind.PAC)
-        assert s.backend_engine == "batched"
+        assert type(s.device) is BatchedHMCDevice
         s.run("gs", 2000, seed=SEED)
         assert s.device._w == [0] * len(s.device._w)

@@ -16,6 +16,7 @@ import pytest
 from repro.engine.driver import run_benchmark, run_comparison, run_suite
 from repro.engine.parallel import run_suite_parallel
 from repro.engine.system import CoalescerKind
+from tests.oracle import reference_engines
 
 KINDS = (CoalescerKind.NONE, CoalescerKind.PAC)
 BENCHES = ("gs", "stream")
@@ -135,48 +136,43 @@ class TestStats:
 
 class TestFrontendEngineThreading:
     """Phase 1 runs its per-benchmark trace+cache prefix on the batched
-    front-end when the engine resolves to batched; ``reference`` forces
-    the scalar generators and hierarchy. Both paths are bit-identical,
-    and cached pass artifacts are shared across engines."""
+    front-end. It is bit-identical to the oracle's scalar front-end, so
+    cached pass artifacts are shared between the two."""
 
     def test_trace_pass_engine_invariant(self):
         import numpy as np
 
         from repro.artifacts.pipeline import compute_trace_pass
 
-        ref = compute_trace_pass("gs", N, seed=SEED, engine="reference")
-        bat = compute_trace_pass("gs", N, seed=SEED, engine="auto")
+        with reference_engines():
+            ref = compute_trace_pass("gs", N, seed=SEED)
+        bat = compute_trace_pass("gs", N, seed=SEED)
         np.testing.assert_array_equal(ref.raw, bat.raw)
         assert ref.cache_metrics == bat.cache_metrics
         assert ref.trace_end_cycle == bat.trace_end_cycle
 
     def test_parallel_batched_prefix_matches_serial_reference(self):
-        """Satellite gate: pooled phase 1 on the batched front-end ==
-        serial phase 1 on the reference front-end, full RunResults."""
-        ref = _suite(
-            engine="reference", use_artifact_cache=False, max_workers=1,
-            pipeline="two-phase",
-        )
+        """Pooled phase 1 on the batched front-end == serial phase 1 on
+        the oracle, full RunResults."""
+        with reference_engines():
+            ref = _suite(
+                use_artifact_cache=False, max_workers=1,
+                pipeline="two-phase",
+            )
         bat = _suite(
-            engine="auto", use_artifact_cache=False, max_workers=2,
-            pipeline="two-phase",
+            use_artifact_cache=False, max_workers=2, pipeline="two-phase",
         )
         assert set(ref) == set(bat)
         for key in ref:
             assert ref[key] == bat[key], key
 
     def test_cached_pass_shared_across_engines(self):
-        """Artifact keys ignore the engine (bit-identity makes the pass
-        engine-invariant): a prefix computed by one engine must serve
-        warm runs of the other."""
+        """A prefix the oracle computed serves warm production runs."""
         cold_stats: dict = {}
-        cold = _suite(
-            pipeline="two-phase", engine="reference", stats=cold_stats,
-        )
+        with reference_engines():
+            cold = _suite(pipeline="two-phase", stats=cold_stats)
         warm_stats: dict = {}
-        warm = _suite(
-            pipeline="two-phase", engine="batched", stats=warm_stats,
-        )
+        warm = _suite(pipeline="two-phase", stats=warm_stats)
         assert cold_stats["artifact_misses"] == len(BENCHES)
         assert warm_stats["artifact_hits"] == len(BENCHES)
         assert warm_stats["artifact_misses"] == 0
@@ -184,14 +180,11 @@ class TestFrontendEngineThreading:
             assert cold[key] == warm[key], key
 
     def test_run_comparison_engine_reaches_prefix(self):
-        ref = run_comparison(
-            "gs", kinds=KINDS, n_accesses=N, seed=SEED,
-            engine="reference", use_artifact_cache=False,
-        )
-        bat = run_comparison(
-            "gs", kinds=KINDS, n_accesses=N, seed=SEED,
-            engine="auto", use_artifact_cache=False,
-        )
+        kw = dict(kinds=KINDS, n_accesses=N, seed=SEED,
+                  use_artifact_cache=False)
+        with reference_engines():
+            ref = run_comparison("gs", **kw)
+        bat = run_comparison("gs", **kw)
         for kind in KINDS:
             assert ref[kind] == bat[kind]
 

@@ -99,45 +99,6 @@ class TestScalarSubmitParity:
         assert_devices_equal(ref, bat)
 
 
-class TestSubmitWindow:
-    @pytest.mark.parametrize(
-        "ref_cls,bat_cls",
-        [(HMCDevice, BatchedHMCDevice), (HBMDevice, BatchedHBMDevice)],
-    )
-    def test_window_matches_reference_loop(self, ref_cls, bat_cls):
-        packets = mixed_packets(600, seed=11)
-        ref, bat = ref_cls(), bat_cls()
-        expected = [ref.submit(p, p.issue_cycle) for p in packets]
-        assert bat.submit_window(packets) == expected
-        assert_devices_equal(ref, bat)
-
-    def test_window_matches_scalar_batched(self):
-        packets = mixed_packets(300, seed=13)
-        a, b = BatchedHMCDevice(), BatchedHMCDevice()
-        scalar = [a.submit(p, p.issue_cycle) for p in packets]
-        assert b.submit_window(packets) == scalar
-        a.sync()
-        assert a.stats.as_dict() == b.stats.as_dict()
-        assert a.energy == b.energy
-
-    def test_window_flushes_scalar_residue(self):
-        """Interleaved scalar submits and windows merge to the same
-        totals a pure reference run accumulates."""
-        packets = mixed_packets(150, seed=17)
-        ref, bat = HMCDevice(), BatchedHMCDevice()
-        for p in packets[:50]:
-            ref.submit(p, p.issue_cycle)
-            bat.submit(p, p.issue_cycle)
-        expected = [ref.submit(p, p.issue_cycle) for p in packets[50:]]
-        assert bat.submit_window(packets[50:]) == expected
-        assert_devices_equal(ref, bat)
-
-    def test_empty_window(self):
-        bat = BatchedHMCDevice()
-        assert bat.submit_window([]) == []
-        assert bat.stats.count("packets") == 0
-
-
 class TestHBMRouteByAddress:
     def test_route_by_address_link_choice(self):
         """HBM parity is only meaningful if the two twins actually take

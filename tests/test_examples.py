@@ -46,6 +46,13 @@ class TestExamples:
         assert "ablation: timeout" in out
         assert "ablation: address-mapping" in out
 
+    def test_latency_breakdown(self):
+        out = run_example("latency_breakdown.py", "3000")
+        counts = out.split("packets: ")[1].split(" (")[0]
+        base, pac = (int(n.replace(",", "")) for n in counts.split(" -> "))
+        assert base > 0 and pac > 0
+        assert "PAC vault heat" in out
+
     def test_all_examples_exist_and_are_executable_python(self):
         names = {p.name for p in EXAMPLES.glob("*.py")}
         assert {
